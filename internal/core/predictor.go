@@ -47,9 +47,8 @@ func DefaultConfig() Config {
 //
 // A trained Predictor is safe for concurrent PredictKernel / PredictKernels
 // / PredictGraph / Utilization calls: the MLP and normalization maps are
-// guarded against a concurrent Train, and tile resolution deduplicates
-// in-flight database scans so identical kernels arriving together pay for
-// one lookup.
+// guarded against a concurrent Train, and tile resolution goes through the
+// tile database's own memo, which is safe for concurrent use.
 //
 // Training and prediction use different representations of the same
 // weights. Train fits autodiff MLPs (gradients flow through the latency
@@ -69,21 +68,6 @@ type Predictor struct {
 	// modelGen counts learned-state changes: TrainCategory and Load bump it
 	// so Generation moves whenever weights are replaced.
 	modelGen atomic.Uint64
-
-	mu        sync.Mutex
-	tileCache map[string]*tileEntry
-}
-
-// tileEntry is a singleflight slot in the tile cache: the first goroutine to
-// claim a key computes the tile and closes done; later arrivals wait on done
-// instead of re-scanning the database. gen records the tile database
-// generation the entry was resolved against, so entries go stale when Add
-// changes the record set; ok is false if the resolving goroutine panicked.
-type tileEntry struct {
-	done chan struct{}
-	t    tile.Tile
-	gen  uint64
-	ok   bool
 }
 
 // NewPredictor returns an untrained predictor that resolves tiles via tdb.
@@ -93,67 +77,19 @@ func NewPredictor(cfg Config, tdb *tile.DB) *Predictor {
 	}
 	return &Predictor{
 		Cfg: cfg, TileDB: tdb,
-		mlps:      map[kernels.Category]*nn.MLP{},
-		stats:     map[kernels.Category]*featureStats{},
-		compiled:  map[kernels.Category]*nn.CompiledMLP{},
-		tileCache: map[string]*tileEntry{},
+		mlps:     map[kernels.Category]*nn.MLP{},
+		stats:    map[kernels.Category]*featureStats{},
+		compiled: map[kernels.Category]*nn.CompiledMLP{},
 	}
 }
 
-// tileCacheLimit bounds the tile cache below. When full, completed entries
-// are evicted wholesale — serving traffic repeats heavily, so the cache
-// refills with the live working set; in-flight entries are kept because
-// waiters are parked on their done channels.
-const tileCacheLimit = 8192
-
-// tileFor resolves the tile for k on g through a small cache: DNN graphs
-// repeat identical kernels across layers, and the nearest-match database
-// scan is the expensive step of a prediction. Concurrent calls for the same
-// key coalesce onto a single database scan, and entries resolved against an
-// older database generation are re-resolved, so profiling that continues
-// after the first prediction still reaches the serving path.
+// tileFor resolves the tile for k on g. The tile database memoizes the
+// nearest-match scan per (kernel, GPU) and drops the memo when a record
+// lands, so DNN graphs that repeat kernels across layers pay for one scan
+// per distinct kernel, and profiling that continues after the first
+// prediction still reaches the serving path.
 func (p *Predictor) tileFor(k kernels.Kernel, g gpu.Spec) tile.Tile {
-	key := tile.QueryKey(k, g)
-	gen := p.TileDB.Generation()
-	p.mu.Lock()
-	e, found := p.tileCache[key]
-	if !found || (isClosed(e.done) && (e.gen != gen || !e.ok)) {
-		if !found && len(p.tileCache) >= tileCacheLimit {
-			for k2, e2 := range p.tileCache {
-				if isClosed(e2.done) {
-					delete(p.tileCache, k2)
-				}
-			}
-		}
-		e = &tileEntry{done: make(chan struct{}), gen: gen}
-		p.tileCache[key] = e
-		p.mu.Unlock()
-		// Close done even if LookupOrSelect panics: a wedged entry would
-		// block every later caller of this key forever. Waiters see
-		// ok=false and resolve directly.
-		defer close(e.done)
-		e.t = p.TileDB.LookupOrSelect(k, g)
-		e.ok = true
-		return e.t
-	}
-	p.mu.Unlock()
-	<-e.done
-	if !e.ok {
-		return p.TileDB.LookupOrSelect(k, g)
-	}
-	return e.t
-}
-
-// isClosed reports whether done has been closed (i.e. the entry's resolver
-// finished). An in-flight entry is never replaced, even if stale: waiters
-// are already parked on it.
-func isClosed(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
+	return p.TileDB.LookupOrSelect(k, g)
 }
 
 // model returns the trained MLP and feature stats for cat, or ok=false.
@@ -413,28 +349,46 @@ type GraphReport struct {
 // fallback-aggregation rule; PredictGraph, the engine layer, and the
 // serving layer all share it.
 func FoldPredictions(lats []float64, errs []error, ks []kernels.Kernel, g gpu.Spec, rep *GraphReport) (float64, error) {
+	return FoldIndexed(lats, errs, ks, nil, g, rep)
+}
+
+// FoldIndexed is FoldPredictions over a graph in compact form: position i
+// of the graph is the distinct kernel ks[index[i]], answered by
+// lats[index[i]]/errs[index[i]]. The fold walks the positions in order, so
+// the total is bit-identical to folding the expanded graph. A nil index
+// means the identity (one position per kernel).
+func FoldIndexed(lats []float64, errs []error, ks []kernels.Kernel, index []int32, g gpu.Spec, rep *GraphReport) (float64, error) {
+	n := len(lats)
+	if index != nil {
+		n = len(index)
+	}
 	total := 0.0
 	var firstErr error
-	for i, l := range lats {
-		if errs[i] != nil {
-			if errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded) {
+	for i := 0; i < n; i++ {
+		j := i
+		if index != nil {
+			j = int(index[i])
+		}
+		l := lats[j]
+		if errs[j] != nil {
+			if errors.Is(errs[j], context.Canceled) || errors.Is(errs[j], context.DeadlineExceeded) {
 				// Leave a consistent report behind the abort: the partial
 				// Predicted/Fallbacks counts covered nothing that is being
 				// returned, so only the submission size survives.
-				*rep = GraphReport{Kernels: len(ks), Network: rep.Network}
-				return 0, errs[i]
+				*rep = GraphReport{Kernels: n, Network: rep.Network}
+				return 0, errs[j]
 			}
 			if firstErr == nil {
-				firstErr = errs[i]
+				firstErr = errs[j]
 			}
 			rep.Fallbacks++
-			l = MemBoundLatency(ks[i], g)
+			l = MemBoundLatency(ks[j], g)
 		} else {
 			rep.Predicted++
 		}
 		total += l
 	}
-	rep.Kernels = len(ks)
+	rep.Kernels = n
 	var err error
 	if rep.Fallbacks > 0 {
 		err = fmt.Errorf("core: %d of %d kernels could not be predicted and used the memory-bound fallback (first: %w)",

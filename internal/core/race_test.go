@@ -115,10 +115,10 @@ func TestPredictGraphConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTileForRefreshesOnDBGeneration checks the predictor's tile cache
-// notices database Adds: an entry memoized against an older generation is
-// re-resolved, so profiling that continues after the first prediction is
-// not pinned out by the cache.
+// TestTileForRefreshesOnDBGeneration checks tile resolution notices
+// database Adds: a tile memoized before the Add is re-resolved, so
+// profiling that continues after the first prediction is not pinned out by
+// the memo.
 func TestTileForRefreshesOnDBGeneration(t *testing.T) {
 	tdb := tile.NewDB()
 	g := gpu.MustLookup("V100")
@@ -138,8 +138,8 @@ func TestTileForRefreshesOnDBGeneration(t *testing.T) {
 	}
 }
 
-// TestTileForCoalesces checks the singleflight tile cache returns identical
-// tiles from every goroutine for a cold key.
+// TestTileForCoalesces checks tile resolution returns identical tiles to
+// every goroutine racing on a cold key.
 func TestTileForCoalesces(t *testing.T) {
 	p := sharedRacePredictor(t)
 	g := gpu.MustLookup("H100")

@@ -24,7 +24,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	p := eng.(*CoreEngine).P
 	k := kernels.NewBMM(4, 256, 256, 256)
 	g := gpu.MustLookup("V100")
-	// Warm the tile cache so both variants measure the compiled forward
+	// Warm the tile DB memo so both variants measure the compiled forward
 	// path, not the one-time database scan.
 	if _, err := p.PredictKernel(k, g); err != nil {
 		b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkEngineBatchDispatch(b *testing.B) {
 		ks[i] = r.Kernel
 	}
 	g := reqs[0].GPU
-	p.PredictKernels(ks, g) // warm tile cache
+	p.PredictKernels(ks, g) // warm the tile DB memo
 
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()

@@ -192,18 +192,19 @@ func checkRequest(ctx context.Context, req Request) error {
 	return nil
 }
 
-// FoldOutcomes folds positional batch outcomes (outs[i] answering ks[i])
-// into a latency total with the memory-bound fallback — the Outcome-shaped
-// face of core.FoldPredictions, which owns the aggregation rule (including
-// aborting on context cancellation rather than folding half a graph into
-// fallback guesses).
-func FoldOutcomes(outs []Outcome, ks []kernels.Kernel, g gpu.Spec, rep *core.GraphReport) (float64, error) {
+// FoldOutcomes folds batch outcomes (outs[j] answering ks[j]) into a
+// latency total with the memory-bound fallback — the Outcome-shaped face
+// of core.FoldIndexed, which owns the aggregation rule (including aborting
+// on context cancellation rather than folding half a graph into fallback
+// guesses). index maps each graph position, in order, to the kernel that
+// fills it; nil means one position per kernel.
+func FoldOutcomes(outs []Outcome, ks []kernels.Kernel, index []int32, g gpu.Spec, rep *core.GraphReport) (float64, error) {
 	lats := make([]float64, len(outs))
 	errs := make([]error, len(outs))
 	for i, out := range outs {
 		lats[i], errs[i] = out.Result.Latency, out.Err
 	}
-	return core.FoldPredictions(lats, errs, ks, g, rep)
+	return core.FoldIndexed(lats, errs, ks, index, g, rep)
 }
 
 // PredictGraphKernels forecasts a kernel list end to end with e under the
@@ -223,7 +224,7 @@ func PredictGraphKernels(ctx context.Context, e Engine, ks []kernels.Kernel, g g
 		reqs = append(reqs, Request{Kernel: k, GPU: g})
 		kept = append(kept, k)
 	}
-	total, err := FoldOutcomes(e.PredictKernels(ctx, reqs), kept, g, &rep)
+	total, err := FoldOutcomes(e.PredictKernels(ctx, reqs), kept, nil, g, &rep)
 	return total, rep, err
 }
 

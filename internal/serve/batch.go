@@ -68,7 +68,7 @@ func (s *Service) PredictBatchEngine(ctx context.Context, engine string, ks []ke
 	}
 	s.batches.Add(1)
 	s.batchedKernels.Add(uint64(len(ks)))
-	return s.predictMany(ctx, es, ks, g)
+	return s.predictMany(ctx, es, ks, nil, g)
 }
 
 // predictMany implements the batched path against one engine without
@@ -81,7 +81,12 @@ func (s *Service) PredictBatchEngine(ctx context.Context, engine string, ks []ke
 // ErrSaturated and no per-item work runs — so callers surface
 // backpressure (HTTP 503) instead of folding rejections into per-item
 // fallbacks.
-func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels.Kernel, g gpu.Spec) ([]predict.Outcome, error) {
+//
+// counts, when non-nil, says how many request positions each ks[i] stands
+// for: a compacted graph submits each distinct kernel once, yet the
+// request and error counters still count every position. Cache hits and
+// misses count the kernels actually looked up.
+func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels.Kernel, counts []int, g gpu.Spec) ([]predict.Outcome, error) {
 	// Admission precedes all accounting — see predictOne: rejected batches
 	// must not inflate request throughput or drag the latency percentiles
 	// toward the microsecond rejection path while the service sheds load.
@@ -93,10 +98,28 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	}
 	defer p.release()
 
+	// fail counts a failed item once per position it stands for.
+	fail := func(i int) {
+		n := uint64(1)
+		if counts != nil {
+			n = uint64(counts[i])
+		}
+		s.errors.Add(n)
+		es.errors.Add(n)
+		p.errors.Add(n)
+	}
+
 	start := time.Now()
-	s.requests.Add(uint64(len(ks)))
-	es.requests.Add(uint64(len(ks)))
-	p.requests.Add(uint64(len(ks)))
+	positions := uint64(len(ks))
+	if counts != nil {
+		positions = 0
+		for _, c := range counts {
+			positions += uint64(c)
+		}
+	}
+	s.requests.Add(positions)
+	es.requests.Add(positions)
+	p.requests.Add(positions)
 	s.inFlightNow.Add(1)
 	defer func() {
 		s.inFlightNow.Add(-1)
@@ -111,9 +134,9 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 		for i := range outs {
 			outs[i].Err = err
 		}
-		s.errors.Add(uint64(len(ks)))
-		es.errors.Add(uint64(len(ks)))
-		p.errors.Add(uint64(len(ks)))
+		s.errors.Add(positions)
+		es.errors.Add(positions)
+		p.errors.Add(positions)
 		return outs, nil
 	}
 
@@ -121,14 +144,12 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 	// goroutine is already evaluating. Both kinds of miss deduplicate by
 	// key, so a batch full of one kernel costs one evaluation (or one wait)
 	// and counts one miss — not one per occurrence.
-	groups := map[string]*batchGroup{}  // keys this batch leads
-	waiting := map[string]*batchGroup{} // keys in flight elsewhere
-	var missKeys []string               // insertion order, so backend input is deterministic
+	groups := map[cacheKey]*batchGroup{}  // keys this batch leads
+	waiting := map[cacheKey]*batchGroup{} // keys in flight elsewhere
+	var missKeys []cacheKey               // insertion order, so backend input is deterministic
 	for i, k := range ks {
 		if k.Category() == kernels.CatNetwork {
-			s.errors.Add(1)
-			es.errors.Add(1)
-			p.errors.Add(1)
+			fail(i)
 			outs[i].Err = fmt.Errorf("serve: network kernel %s is priced by the distributed layer, not the kernel predictor", k.Label())
 			continue
 		}
@@ -184,9 +205,7 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 			}
 			for _, i := range append(grp.dups, grp.leader) {
 				if grp.call.err != nil {
-					s.errors.Add(1)
-					es.errors.Add(1)
-					p.errors.Add(1)
+					fail(i)
 					outs[i].Err = grp.call.err
 				} else {
 					outs[i].Result = grp.call.res
@@ -201,9 +220,7 @@ func (s *Service) predictMany(ctx context.Context, es *engineState, ks []kernels
 		<-grp.call.done
 		for _, i := range append(grp.dups, grp.leader) {
 			if grp.call.err != nil {
-				s.errors.Add(1)
-				es.errors.Add(1)
-				p.errors.Add(1)
+				fail(i)
 				outs[i].Err = grp.call.err
 			} else {
 				outs[i].Result = grp.call.res

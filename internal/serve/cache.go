@@ -2,11 +2,23 @@ package serve
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"neusight/internal/predict"
+	"neusight/internal/tile"
 )
+
+// cacheKey is the tag a forecast is cached and coalesced under: the
+// (kernel, GPU) query plus the engine state that answers it. epoch is the
+// engine state's registration epoch (shard caches are shared across
+// engines, and a replaced engine must be a distinct key space); gen is the
+// engine's state generation, so a retrain makes every prior entry
+// unreachable instead of serving it stale.
+type cacheKey struct {
+	query tile.Query
+	epoch uint64
+	gen   uint64
+}
 
 // lruCache is a thread-safe fixed-capacity LRU map from prediction key to
 // structured forecast result. It is the serving layer's first line of defense: DNN
@@ -16,14 +28,14 @@ type lruCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *lruEntry
-	items map[string]*list.Element
+	items map[cacheKey]*list.Element
 
 	hits   uint64
 	misses uint64
 }
 
 type lruEntry struct {
-	key string
+	key cacheKey
 	val predict.Result
 }
 
@@ -33,12 +45,12 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element),
+		items: make(map[cacheKey]*list.Element),
 	}
 }
 
 // Get returns the cached value for key, marking it most recently used.
-func (c *lruCache) Get(key string) (predict.Result, bool) {
+func (c *lruCache) Get(key cacheKey) (predict.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -53,7 +65,7 @@ func (c *lruCache) Get(key string) (predict.Result, bool) {
 
 // Put inserts or refreshes key, evicting the least recently used entry when
 // the cache is full.
-func (c *lruCache) Put(key string, val predict.Result) {
+func (c *lruCache) Put(key cacheKey, val predict.Result) {
 	if c.cap <= 0 {
 		return
 	}
@@ -74,17 +86,17 @@ func (c *lruCache) Put(key string, val predict.Result) {
 	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
 }
 
-// DropPrefix removes every entry whose key starts with prefix, returning
-// how many were dropped. Shard rebalancing uses it to evict the cache
-// slice of an unregistered engine (keys are engine-name-prefixed) without
-// disturbing the entries of engines still serving.
-func (c *lruCache) DropPrefix(prefix string) int {
+// DropEpoch removes every entry cached for the engine state of the given
+// epoch, returning how many were dropped. Rebalancing uses it to evict the
+// cache slice of an unregistered engine from a shard cache shared across
+// engines without disturbing the entries of engines still serving.
+func (c *lruCache) DropEpoch(epoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		if e := el.Value.(*lruEntry); strings.HasPrefix(e.key, prefix) {
+		if e := el.Value.(*lruEntry); e.key.epoch == epoch {
 			c.order.Remove(el)
 			delete(c.items, e.key)
 			dropped++
@@ -94,14 +106,14 @@ func (c *lruCache) DropPrefix(prefix string) int {
 	return dropped
 }
 
-// LenPrefix counts the resident entries whose key starts with prefix —
-// the per-engine slice of a shard cache shared across engines.
-func (c *lruCache) LenPrefix(prefix string) int {
+// LenEpoch counts the resident entries of the engine state of the given
+// epoch — the per-engine slice of a shard cache shared across engines.
+func (c *lruCache) LenEpoch(epoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		if strings.HasPrefix(el.Value.(*lruEntry).key, prefix) {
+		if el.Value.(*lruEntry).key.epoch == epoch {
 			n++
 		}
 	}
@@ -113,7 +125,7 @@ func (c *lruCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()
-	c.items = make(map[string]*list.Element)
+	c.items = make(map[cacheKey]*list.Element)
 }
 
 // Len returns the current entry count.

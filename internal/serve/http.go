@@ -9,7 +9,6 @@ import (
 
 	"neusight/internal/core"
 	"neusight/internal/gpu"
-	"neusight/internal/graph"
 	"neusight/internal/kernels"
 	"neusight/internal/models"
 	"neusight/internal/observe"
@@ -459,16 +458,8 @@ func handleGraph(s *Service, v2 bool) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		var gr *graph.Graph
-		if req.Training {
-			gr = m.TrainingGraph(req.Batch)
-		} else {
-			gr = m.InferenceGraph(req.Batch)
-		}
-		if req.Fused {
-			gr = graph.Fuse(gr)
-		}
-		lat, rep, gerr := s.PredictGraphEngine(r.Context(), req.Engine, gr, g)
+		cg := s.workloadGraph(m, req.Batch, req.Training, req.Fused)
+		lat, rep, gerr := s.predictGraph(r.Context(), req.Engine, cg, g)
 		// An unknown engine, a saturated shard, or a cancellation abort is
 		// a failed forecast, not a degraded one: the fold never ran (or
 		// stopped), so the total must not be served as an answer. Fallback
@@ -482,7 +473,7 @@ func handleGraph(s *Service, v2 bool) http.HandlerFunc {
 		v1 := GraphResponse{
 			Workload: m.Name, GPU: g.Name, Batch: req.Batch,
 			Training: req.Training, Fused: req.Fused,
-			Kernels: len(gr.Nodes), TotalFLOPs: gr.TotalFLOPs(), LatencyMs: lat,
+			Kernels: cg.nodes, TotalFLOPs: cg.flops, LatencyMs: lat,
 			FitsMemory: m.FitsInMemory(req.Batch, g, req.Training),
 		}
 		if !v2 {

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,6 +147,11 @@ type Service struct {
 	emu     sync.RWMutex
 	engines map[string]*engineState
 
+	// workloads memoizes compacted workload graphs for the graph endpoint
+	// (graph.go).
+	wmu       sync.Mutex
+	workloads map[workloadKey]*compactGraph
+
 	requests       atomic.Uint64
 	coalesced      atomic.Uint64
 	errors         atomic.Uint64
@@ -174,14 +178,14 @@ type engineState struct {
 	name     string
 	eng      predict.Engine
 	affinity string // ShardAffinity, resolved once at registration
-	// prefix namespaces this state's cache entries: the engine name plus a
-	// per-state epoch. The epoch makes a replaced engine (unregister +
-	// re-register under the same name) a distinct key space, so a backend
-	// evaluation in flight across a rebalance caches under the old state's
-	// prefix and can never be served by the replacement — even for engines
-	// that track no generation.
-	prefix string
-	part   *partition // legacy per-engine partition; nil when sharded
+	// epoch namespaces this state's cache entries: a per-state number that
+	// makes a replaced engine (unregister + re-register under the same
+	// name) a distinct key space, so a backend evaluation in flight across
+	// a rebalance caches under the old state's epoch and can never be
+	// served by the replacement — even for engines that track no
+	// generation.
+	epoch uint64
+	part  *partition // legacy per-engine partition; nil when sharded
 
 	requests    atomic.Uint64
 	errors      atomic.Uint64
@@ -190,19 +194,14 @@ type engineState struct {
 	cacheMisses atomic.Uint64
 }
 
-// key fingerprints a prediction request with the same fingerprint the
-// predictor's tile cache and the tile DB memo use, prefixed with the
-// engine state's prefix (shard caches are shared across engines, so the
-// engine — and its registration epoch — is part of request identity) and
-// its state generation when it tracks one — so a retrain makes every
-// prior entry unreachable (it then ages out of the LRU) instead of being
-// served stale.
-func (es *engineState) key(k kernels.Kernel, g gpu.Spec) string {
-	key := tile.QueryKey(k, g)
-	if gen, ok := es.eng.(predict.Generational); ok {
-		key = "g" + strconv.FormatUint(gen.Generation(), 10) + "|" + key
-	}
-	return es.prefix + key
+// key identifies a prediction request: the same (kernel, GPU) query the
+// tile DB memo and the planner key on, tagged with the engine
+// state's epoch (shard caches are shared across engines, so the engine —
+// and its registration epoch — is part of request identity) and its state
+// generation when it tracks one — so a retrain makes every prior entry
+// unreachable (it then ages out of the LRU) instead of being served stale.
+func (es *engineState) key(k kernels.Kernel, g gpu.Spec) cacheKey {
+	return cacheKey{query: tile.QueryOf(k, g), epoch: es.epoch, gen: predict.Generation(es.eng)}
 }
 
 // partition resolves the serving partition for one (engine, GPU) request:
@@ -274,6 +273,7 @@ func NewMulti(reg *predict.Registry, defaultEngine string, cfg Config) *Service 
 		lat:       newLatencyWindow(cfg.LatencyWindow),
 		start:     time.Now(),
 		engines:   map[string]*engineState{},
+		workloads: map[workloadKey]*compactGraph{},
 	}
 	if cfg.Shards > 1 {
 		perShard := cfg.ShardWorkers
@@ -342,7 +342,7 @@ func (s *Service) engine(name string) (*engineState, error) {
 		name:     name,
 		eng:      eng,
 		affinity: predict.ShardAffinity(eng),
-		prefix:   name + "#" + strconv.FormatUint(s.epoch.Add(1), 10) + "|",
+		epoch:    s.epoch.Add(1),
 	}
 	if s.router == nil {
 		es.part = newPartition(-1, s.cacheSize, s.sem, 0)
@@ -388,7 +388,7 @@ func (s *Service) InvalidateEngine(name string) int {
 	}
 	n := 0
 	for _, p := range s.partitions() {
-		n += p.cache.DropPrefix(es.prefix)
+		n += p.cache.DropEpoch(es.epoch)
 	}
 	return n
 }
@@ -500,7 +500,7 @@ func (s *Service) predictOne(ctx context.Context, es *engineState, k kernels.Ker
 // panics (callEngine converts the panic to an error), so both the leader
 // and every coalesced waiter fail cleanly instead of wedging the key
 // forever.
-func (s *Service) runBackend(ctx context.Context, es *engineState, p *partition, call *inflightCall, key string, k kernels.Kernel, g gpu.Spec) {
+func (s *Service) runBackend(ctx context.Context, es *engineState, p *partition, call *inflightCall, key cacheKey, k kernels.Kernel, g gpu.Spec) {
 	defer func() {
 		p.mu.Lock()
 		delete(p.inflight, key)
@@ -542,36 +542,16 @@ func (s *Service) PredictGraph(gr *graph.Graph, g gpu.Spec) float64 {
 }
 
 // PredictGraphEngine is PredictGraph routed to a named engine ("" selects
-// the default). It routes every predictable kernel through the batched
-// prediction machinery (cache hits served directly, misses collapsed into
-// one backend round, identical kernels coalesced) and reports how the
-// forecast was assembled: the error is non-nil when any kernel fell back
-// to the memory-bound estimate, with the report counting them — failures
-// are surfaced, not silently absorbed into the total.
+// the default). It dedups the graph's predictable kernels by key and
+// predicts each distinct kernel once through the batched prediction
+// machinery (cache hits served directly, misses collapsed into one backend
+// round, identical kernels coalesced), then folds the forecasts in node
+// order, and reports how the forecast was assembled: the error is non-nil
+// when any kernel fell back to the memory-bound estimate, with the report
+// counting them — failures are surfaced, not silently absorbed into the
+// total.
 func (s *Service) PredictGraphEngine(ctx context.Context, engine string, gr *graph.Graph, g gpu.Spec) (float64, core.GraphReport, error) {
-	es, err := s.engine(engine)
-	if err != nil {
-		return 0, core.GraphReport{}, err
-	}
-	s.graphs.Add(1)
-	var rep core.GraphReport
-	ks := make([]kernels.Kernel, 0, len(gr.Nodes))
-	for _, n := range gr.Nodes {
-		if n.Kernel.Category() == kernels.CatNetwork {
-			rep.Network++ // network ops are priced by the distributed layer
-			continue
-		}
-		ks = append(ks, n.Kernel)
-	}
-	outs, err := s.predictMany(ctx, es, ks, g)
-	if err != nil {
-		// Whole-batch rejection (saturated shard): the forecast never ran,
-		// so there is no total to fold — callers surface backpressure
-		// instead of serving a fallback-assembled number.
-		return 0, rep, err
-	}
-	total, err := predict.FoldOutcomes(outs, ks, g, &rep)
-	return total, rep, err
+	return s.predictGraph(ctx, engine, compact(gr), g)
 }
 
 // Stats is a point-in-time snapshot of the aggregate service counters,
@@ -682,7 +662,7 @@ func (s *Service) engineCacheLen(es *engineState) int {
 	}
 	n := 0
 	for _, p := range s.router.shards {
-		n += p.cache.LenPrefix(es.prefix)
+		n += p.cache.LenEpoch(es.epoch)
 	}
 	return n
 }

@@ -12,6 +12,7 @@ import (
 	"neusight/internal/graph"
 	"neusight/internal/kernels"
 	"neusight/internal/predict"
+	"neusight/internal/tile"
 )
 
 // TestInvalidateEngine pins the cluster layer's invalidation hook: only
@@ -305,19 +306,20 @@ func TestPredictGraphSumsAndSkipsNetwork(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", predict.Result{Latency: 1})
-	c.Put("b", predict.Result{Latency: 2})
-	if _, ok := c.Get("a"); !ok { // refresh a: b becomes LRU
+	key := func(name string) cacheKey { return cacheKey{query: tile.Query{GPU: name}} }
+	c.Put(key("a"), predict.Result{Latency: 1})
+	c.Put(key("b"), predict.Result{Latency: 2})
+	if _, ok := c.Get(key("a")); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", predict.Result{Latency: 3})
-	if _, ok := c.Get("b"); ok {
+	c.Put(key("c"), predict.Result{Latency: 3})
+	if _, ok := c.Get(key("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(key("a")); !ok {
 		t.Error("a should survive (recently used)")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(key("c")); !ok {
 		t.Error("c should be present")
 	}
 	if c.Len() != 2 {

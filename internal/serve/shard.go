@@ -40,7 +40,7 @@ type partition struct {
 	maxInFlight int
 
 	mu       sync.Mutex
-	inflight map[string]*inflightCall
+	inflight map[cacheKey]*inflightCall
 
 	requests  atomic.Uint64
 	errors    atomic.Uint64
@@ -57,7 +57,7 @@ func newPartition(shard, cacheSize int, sem chan struct{}, maxInFlight int) *par
 		cache:       newLRUCache(cacheSize),
 		sem:         sem,
 		maxInFlight: maxInFlight,
-		inflight:    map[string]*inflightCall{},
+		inflight:    map[cacheKey]*inflightCall{},
 	}
 }
 
@@ -277,7 +277,7 @@ func (s *Service) Rebalance() {
 		cur, err := s.reg.Get(name)
 		if err != nil || cur != es.eng {
 			// Unsharded: the stale engine owns its partition outright — the
-			// whole cache is reclaimed with it, no prefix scan needed. Fold
+			// whole cache is reclaimed with it, no epoch scan needed. Fold
 			// its counter history into the retired accumulators *before*
 			// the state leaves the map, so a concurrent Stats() never
 			// observes the partition gone but its history not yet retired
@@ -301,7 +301,7 @@ func (s *Service) Rebalance() {
 	// the stable shard set and need no retirement.
 	for _, es := range stale {
 		for _, p := range s.router.shards {
-			p.cache.DropPrefix(es.prefix)
+			p.cache.DropEpoch(es.epoch)
 		}
 	}
 	s.router.invalidate()

@@ -13,6 +13,7 @@ import (
 
 	"neusight/internal/gpu"
 	"neusight/internal/kernels"
+	"neusight/internal/tile"
 )
 
 // TraceEntry is one line of a workload trace: a (kernel, GPU, engine) key
@@ -98,17 +99,20 @@ func (e TraceEntry) Kernel() (kernels.Kernel, error) {
 // (counted, not silently).
 const maxTraceKeys = 1 << 16
 
-// entryKey fingerprints a trace entry the way the recorder deduplicates
-// and the compactor matches requests: engine, kernel label, GPU.
-func entryKey(engine, kernelLabel, gpuName string) string {
-	return engine + "|" + kernelLabel + "@" + gpuName
+// traceKey is the identity the recorder deduplicates and the compactor
+// matches requests by: engine name plus the typed (kernel, GPU) query —
+// the serving cache's tag without the engine state's epoch and
+// generation, which do not survive a restart.
+type traceKey struct {
+	engine string
+	query  tile.Query
 }
 
 // compactEntry is one loaded trace entry a compacting recorder tracks:
 // the parsed entry plus its dedup key, so end-of-run aging can match it
 // against the keys requested this run.
 type compactEntry struct {
-	key string
+	key traceKey
 	e   TraceEntry
 }
 
@@ -132,7 +136,7 @@ type TraceRecorder struct {
 	path    string
 	f       *os.File
 	bw      *bufio.Writer
-	seen    map[string]struct{}
+	seen    map[traceKey]struct{}
 	dropped uint64 // novel keys not recorded (dedup set full or write error)
 	err     error  // first write error; recording stops permanently
 
@@ -145,8 +149,8 @@ type TraceRecorder struct {
 
 	// Compaction state, populated only when compactAfter > 0.
 	compactAfter int
-	agedOut      int                 // entries pruned at open (idle >= bound, duplicate, unreplayable)
-	touched      map[string]struct{} // keys requested this run
+	agedOut      int                   // entries pruned at open (idle >= bound, duplicate, unreplayable)
+	touched      map[traceKey]struct{} // keys requested this run
 }
 
 // NewTraceRecorder opens (creating or appending to) the trace at path.
@@ -171,9 +175,9 @@ func NewTraceRecorderCompact(path string, compactAfter int) (*TraceRecorder, err
 }
 
 func newTraceRecorder(path string, compactAfter int) (*TraceRecorder, error) {
-	r := &TraceRecorder{path: path, compactAfter: compactAfter, seen: map[string]struct{}{}}
+	r := &TraceRecorder{path: path, compactAfter: compactAfter, seen: map[traceKey]struct{}{}}
 	if compactAfter > 0 {
-		r.touched = map[string]struct{}{}
+		r.touched = map[traceKey]struct{}{}
 	}
 	if entries, _, err := ReadTrace(path); err == nil {
 		for _, e := range entries {
@@ -184,7 +188,7 @@ func newTraceRecorder(path string, compactAfter int) (*TraceRecorder, error) {
 				}
 				continue
 			}
-			key := entryKey(e.Engine, k.Label(), e.GPU)
+			key := traceKey{engine: e.Engine, query: tile.Query{Kernel: k.Key(), GPU: e.GPU}}
 			if _, dup := r.seen[key]; dup {
 				if compactAfter > 0 {
 					r.agedOut++ // duplicate from a pre-dedup writer
@@ -231,7 +235,7 @@ func (r *TraceRecorder) Record(engine string, k kernels.Kernel, g gpu.Spec) {
 // counting it would keep every key alive forever), while still appending
 // novel keys for the trace-rotation deployment loop.
 func (r *TraceRecorder) record(engine string, k kernels.Kernel, g gpu.Spec, touch bool) {
-	key := entryKey(engine, k.Label(), g.Name)
+	key := traceKey{engine: engine, query: tile.QueryOf(k, g)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if touch && r.compactAfter > 0 {
@@ -280,7 +284,7 @@ func (r *TraceRecorder) Touch(engine string, k kernels.Kernel, g gpu.Spec) {
 	if r.compactAfter <= 0 {
 		return
 	}
-	key := entryKey(engine, k.Label(), g.Name)
+	key := traceKey{engine: engine, query: tile.QueryOf(k, g)}
 	r.mu.Lock()
 	r.touchLocked(key)
 	r.mu.Unlock()
@@ -292,7 +296,7 @@ func (r *TraceRecorder) Touch(engine string, k kernels.Kernel, g gpu.Spec) {
 // long-lived process must not accumulate it without bound. Past the cap,
 // novel keys go unmarked; the worst case is a kept trace entry aging one
 // replay early, against unbounded heap growth. Callers hold r.mu.
-func (r *TraceRecorder) touchLocked(key string) {
+func (r *TraceRecorder) touchLocked(key traceKey) {
 	if _, ok := r.touched[key]; ok {
 		return
 	}
@@ -644,7 +648,7 @@ func (s *Service) warmEntries(ctx context.Context, entries []TraceEntry, ws *War
 		wg.Add(1)
 		go func(grp *group, es *engineState) {
 			defer wg.Done()
-			outs, batchErr := s.predictMany(ctx, es, grp.ks, grp.g)
+			outs, batchErr := s.predictMany(ctx, es, grp.ks, nil, grp.g)
 			ok, bad := 0, 0
 			if batchErr != nil { // e.g. a saturated shard: nothing primed
 				bad = len(grp.ks)

@@ -35,7 +35,7 @@ type DB struct {
 	records []Record
 
 	memoMu sync.Mutex
-	memo   map[string]Tile
+	memo   map[Query]Tile
 	// memoGen is bumped by Add; a scan only memoizes if the generation is
 	// unchanged. Atomic rather than memoMu-guarded: Generation() sits on
 	// the serving layer's cache-key path, where an exclusive lock shared
@@ -48,12 +48,25 @@ type DB struct {
 // refills almost immediately with the live working set).
 const memoLimit = 8192
 
-// QueryKey fingerprints a (kernel, GPU) prediction query. Every cache along
-// the serving path — the DB memo here, the predictor's tile cache, and the
-// serve layer's prediction LRU — must key on this same fingerprint, or the
-// layers silently disagree about what "identical request" means.
-// Kernel.Label encodes operator, dimensions, precision, and fusion
-// metadata; GPU specs are registry entries uniquely identified by name.
+// Query is the comparable identity of a (kernel, GPU) prediction query.
+// Every cache along the serving path — the DB memo here and the serve
+// layer's prediction LRU — keys on it, or the layers silently disagree
+// about what "identical request" means. The kernel's typed Key carries
+// every field a forecast reads; GPU specs are registry entries uniquely
+// identified by name.
+type Query struct {
+	Kernel kernels.Key
+	GPU    string
+}
+
+// QueryOf returns the identity of the query for k on g.
+func QueryOf(k kernels.Kernel, g gpu.Spec) Query {
+	return Query{Kernel: k.Key(), GPU: g.Name}
+}
+
+// QueryKey renders a (kernel, GPU) query for display: the kernel's label
+// and the GPU name. Labels drop fields that change a forecast, so caches
+// key on Query instead.
 func QueryKey(k kernels.Kernel, g gpu.Spec) string {
 	return k.Label() + "@" + g.Name
 }
@@ -82,9 +95,10 @@ func (db *DB) Add(k kernels.Kernel, g gpu.Spec, t Tile) {
 }
 
 // Generation reports how many times the record set has changed. Callers
-// that memoize LookupOrSelect results (e.g. the predictor's tile cache)
-// compare generations to notice when a new record may have changed the
-// nearest match.
+// that cache results derived from LookupOrSelect (the predictor folds it
+// into its state generation, which serve cache keys carry) compare
+// generations to notice when a new record may have changed the nearest
+// match.
 func (db *DB) Generation() uint64 {
 	return db.memoGen.Load()
 }
@@ -135,7 +149,7 @@ func (db *DB) Lookup(k kernels.Kernel, g gpu.Spec) (Tile, bool) {
 // Results are memoized per (kernel, GPU) and invalidated whenever Add
 // changes the record set, making repeated serving-path queries O(1).
 func (db *DB) LookupOrSelect(k kernels.Kernel, g gpu.Spec) Tile {
-	key := QueryKey(k, g)
+	key := QueryOf(k, g)
 	gen := db.memoGen.Load()
 	db.memoMu.Lock()
 	if t, ok := db.memo[key]; ok {
@@ -154,9 +168,9 @@ func (db *DB) LookupOrSelect(k kernels.Kernel, g gpu.Spec) Tile {
 	// have changed the nearest match, and a stale cache would pin it.
 	if db.memoGen.Load() == gen {
 		if db.memo == nil {
-			db.memo = make(map[string]Tile)
+			db.memo = make(map[Query]Tile)
 		} else if len(db.memo) >= memoLimit {
-			db.memo = make(map[string]Tile)
+			db.memo = make(map[Query]Tile)
 		}
 		db.memo[key] = t
 	}

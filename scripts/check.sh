@@ -4,6 +4,8 @@
 #
 #   scripts/check.sh          full gate: fmt, vet, build, race-enabled tests
 #   scripts/check.sh -fast    skip the race detector (plain `go test ./...`)
+#
+# Both modes also vet and test the perfbench module.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +65,13 @@ else
   echo "==> fleet planner e2e (scripts/plan_e2e.sh)"
   bash scripts/plan_e2e.sh
 fi
+
+# The benchmark is its own module (perfbench/go.mod), which `./...` from
+# the repo root does not reach. Vet and test it here, so an internal API
+# change that breaks the benchmark fails CI instead of the next benchmark
+# run.
+echo "==> perfbench module: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 
 # Docs gate: every versioned route the code actually serves must be
 # documented in docs/API.md — adding an endpoint without documenting it
