@@ -339,25 +339,20 @@ type GraphReport struct {
 	Network int `json:"network"`
 }
 
-// FoldPredictions folds positional per-kernel forecasts (lats[i]/errs[i]
-// answering ks[i]) into an end-to-end total: kernels that failed to predict
-// contribute the memory-bound estimate and are counted in rep, and the
-// returned error aggregates them (nil when every kernel predicted). A
-// context cancellation among the errors aborts the fold instead — a
-// half-evaluated graph must surface as a failure, not a quietly degraded
-// total assembled from fallback guesses. This is the one copy of the
-// fallback-aggregation rule; PredictGraph, the engine layer, and the
-// serving layer all share it.
-func FoldPredictions(lats []float64, errs []error, ks []kernels.Kernel, g gpu.Spec, rep *GraphReport) (float64, error) {
-	return FoldIndexed(lats, errs, ks, nil, g, rep)
-}
-
-// FoldIndexed is FoldPredictions over a graph in compact form: position i
-// of the graph is the distinct kernel ks[index[i]], answered by
-// lats[index[i]]/errs[index[i]]. The fold walks the positions in order, so
-// the total is bit-identical to folding the expanded graph. A nil index
-// means the identity (one position per kernel).
-func FoldIndexed(lats []float64, errs []error, ks []kernels.Kernel, index []int32, g gpu.Spec, rep *GraphReport) (float64, error) {
+// FoldPredictions folds per-kernel forecasts into an end-to-end total:
+// position i of the graph is kernel ks[index[i]], answered by
+// lats[index[i]]/errs[index[i]] (a nil index means one position per
+// kernel, i itself), so a graph in compact form — each distinct kernel
+// once — folds without being expanded. Positions are summed in order, so
+// the total is bit-identical to folding the expanded graph. Kernels that
+// failed to predict contribute the memory-bound estimate and are counted
+// in rep, and the returned error aggregates them (nil when every kernel
+// predicted). A context cancellation among the errors aborts the fold
+// instead — a half-evaluated graph must surface as a failure, not a
+// quietly degraded total assembled from fallback guesses. This is the one
+// copy of the fallback-aggregation rule; PredictGraph, the engine layer,
+// and the serving layer all share it.
+func FoldPredictions(lats []float64, errs []error, ks []kernels.Kernel, index []int32, g gpu.Spec, rep *GraphReport) (float64, error) {
 	n := len(lats)
 	if index != nil {
 		n = len(index)
@@ -416,7 +411,7 @@ func (p *Predictor) PredictGraph(gr *graph.Graph, g gpu.Spec) (float64, GraphRep
 		ks = append(ks, n.Kernel)
 	}
 	lats, errs := p.PredictKernels(ks, g)
-	total, err := FoldPredictions(lats, errs, ks, g, &rep)
+	total, err := FoldPredictions(lats, errs, ks, nil, g, &rep)
 	return total, rep, err
 }
 

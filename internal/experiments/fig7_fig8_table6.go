@@ -187,14 +187,13 @@ func isFig8Cat(c kernels.Category) bool {
 	return false
 }
 
-// uniqueKernels deduplicates repeated per-layer kernels by label.
+// uniqueKernels deduplicates repeated per-layer kernels by key.
 func uniqueKernels(ks []kernels.Kernel) []kernels.Kernel {
-	seen := map[string]bool{}
+	seen := map[kernels.Key]bool{}
 	var out []kernels.Kernel
 	for _, k := range ks {
-		l := k.Label()
-		if !seen[l] {
-			seen[l] = true
+		if key := k.Key(); !seen[key] {
+			seen[key] = true
 			out = append(out, k)
 		}
 	}

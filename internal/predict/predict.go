@@ -194,7 +194,7 @@ func checkRequest(ctx context.Context, req Request) error {
 
 // FoldOutcomes folds batch outcomes (outs[j] answering ks[j]) into a
 // latency total with the memory-bound fallback — the Outcome-shaped face
-// of core.FoldIndexed, which owns the aggregation rule (including aborting
+// of core.FoldPredictions, which owns the aggregation rule (including aborting
 // on context cancellation rather than folding half a graph into fallback
 // guesses). index maps each graph position, in order, to the kernel that
 // fills it; nil means one position per kernel.
@@ -204,7 +204,7 @@ func FoldOutcomes(outs []Outcome, ks []kernels.Kernel, index []int32, g gpu.Spec
 	for i, out := range outs {
 		lats[i], errs[i] = out.Result.Latency, out.Err
 	}
-	return core.FoldIndexed(lats, errs, ks, index, g, rep)
+	return core.FoldPredictions(lats, errs, ks, index, g, rep)
 }
 
 // PredictGraphKernels forecasts a kernel list end to end with e under the

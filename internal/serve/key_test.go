@@ -294,7 +294,7 @@ func TestCompactGraphFoldsLikeTheExpandedGraph(t *testing.T) {
 	for j := range lats {
 		lats[j] = float64(j) + 0.1
 	}
-	total, _ := core.FoldIndexed(lats, errs, cg.kernels, cg.index, gpu.MustLookup("H100"), &rep)
+	total, _ := core.FoldPredictions(lats, errs, cg.kernels, cg.index, gpu.MustLookup("H100"), &rep)
 	want := 0.0
 	for _, j := range cg.index {
 		want += lats[j]
