@@ -48,7 +48,7 @@ func DefaultConfig() Config {
 // A trained Predictor is safe for concurrent PredictKernel / PredictKernels
 // / PredictGraph / Utilization calls: the MLP and normalization maps are
 // guarded against a concurrent Train, and tile resolution goes through the
-// tile database's own memo, which is safe for concurrent use.
+// tile database, which is safe for concurrent use.
 //
 // Training and prediction use different representations of the same
 // weights. Train fits autodiff MLPs (gradients flow through the latency
@@ -83,11 +83,10 @@ func NewPredictor(cfg Config, tdb *tile.DB) *Predictor {
 	}
 }
 
-// tileFor resolves the tile for k on g. The tile database memoizes the
-// nearest-match scan per (kernel, GPU) and drops the memo when a record
-// lands, so DNN graphs that repeat kernels across layers pay for one scan
-// per distinct kernel, and profiling that continues after the first
-// prediction still reaches the serving path.
+// tileFor resolves the tile for k on g: the nearest profiled record, or the
+// library heuristic when none matches. The tile database indexes records as
+// they land, so profiling that continues after the first prediction still
+// reaches the serving path.
 func (p *Predictor) tileFor(k kernels.Kernel, g gpu.Spec) tile.Tile {
 	return p.TileDB.LookupOrSelect(k, g)
 }

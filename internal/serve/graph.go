@@ -81,8 +81,8 @@ type workloadKey struct {
 }
 
 // workloadMemoCap bounds the workload-graph memo. Past it the memo is
-// dropped wholesale, like the tile DB memo: traffic repeats a handful of
-// (workload, batch) pairs, so it refills with the live set at once.
+// dropped wholesale: traffic repeats a handful of (workload, batch)
+// pairs, so it refills with the live set at once.
 const workloadMemoCap = 64
 
 // workloadGraph returns the compacted graph of workload m, memoized:

@@ -195,7 +195,7 @@ type engineState struct {
 }
 
 // key identifies a prediction request: the same (kernel, GPU) query the
-// tile DB memo and the planner key on, tagged with the engine
+// trace recorder and the planner key on, tagged with the engine
 // state's epoch (shard caches are shared across engines, so the engine —
 // and its registration epoch — is part of request identity) and its state
 // generation when it tracks one — so a retrain makes every prior entry

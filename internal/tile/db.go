@@ -2,6 +2,8 @@ package tile
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"sync"
@@ -26,34 +28,53 @@ type Record struct {
 
 // DB stores profiled tile records and answers nearest-match queries. All
 // methods are safe for concurrent use: Add may interleave freely with
-// Lookup/LookupOrSelect. Repeated LookupOrSelect queries for the same
-// (kernel, GPU) are served from a memo that Add invalidates, so the hot
-// serving path pays the O(records) nearest-match scan only once per unique
-// query per database generation.
+// Lookup/LookupOrSelect.
+//
+// Records are indexed as they enter the database (Add, LoadDB): grouped by
+// (predictor category, output rank), with each record's log-space features
+// precomputed. A lookup therefore walks only the records it could match and
+// takes no logarithms beyond its own query's.
 type DB struct {
 	mu      sync.RWMutex
 	records []Record
+	groups  map[groupKey]*group
 
-	memoMu sync.Mutex
-	memo   map[Query]Tile
-	// memoGen is bumped by Add; a scan only memoizes if the generation is
-	// unchanged. Atomic rather than memoMu-guarded: Generation() sits on
-	// the serving layer's cache-key path, where an exclusive lock shared
-	// with the miss-path memo would serialize every cache hit.
-	memoGen atomic.Uint64
+	// gen counts Adds. Atomic rather than mu-guarded: Generation() sits on
+	// the serving layer's cache-key path, where a lock shared with Add
+	// would serialize every cache hit.
+	gen atomic.Uint64
 }
 
-// memoLimit bounds the LookupOrSelect memo; when full the memo is dropped
-// wholesale (queries repeat heavily in serving workloads, so the reset
-// refills almost immediately with the live working set).
-const memoLimit = 8192
+// groupKey selects the records a query may match: the paper matches on
+// kernel name first, and distances are only defined between equal ranks.
+type groupKey struct {
+	cat  kernels.Category
+	rank int
+}
+
+// group is the index of one (category, rank): record i of the group has
+// its log1p features — output dims, then SMs, L2, peak FLOPS and memory
+// bandwidth — at feats[i*stride:(i+1)*stride], stride = rank+numGPUFeatures,
+// and its position in DB.records at idx[i]. Records stay in insertion
+// order, so the first of equally near records still wins.
+type group struct {
+	feats []float64
+	idx   []int32
+}
+
+// numGPUFeatures is the number of device features after the output dims.
+const numGPUFeatures = 4
+
+// maxRank bounds the output rank of any kernel (BMM's three dims), so query
+// features fit a stack buffer.
+const maxRank = 3
 
 // Query is the comparable identity of a (kernel, GPU) prediction query.
-// Every cache along the serving path — the DB memo here and the serve
-// layer's prediction LRU — keys on it, or the layers silently disagree
-// about what "identical request" means. The kernel's typed Key carries
-// every field a forecast reads; GPU specs are registry entries uniquely
-// identified by name.
+// Every cache along the serving path — the serve layer's prediction LRU,
+// its in-flight table and its trace recorder — keys on it, or the layers
+// silently disagree about what "identical request" means. The kernel's
+// typed Key carries every field a forecast reads; GPU specs are registry
+// entries uniquely identified by name.
 type Query struct {
 	Kernel kernels.Key
 	GPU    string
@@ -74,8 +95,8 @@ func QueryKey(k kernels.Kernel, g gpu.Spec) string {
 // NewDB returns an empty database.
 func NewDB() *DB { return &DB{} }
 
-// Add records the tile observed for kernel k on device g and invalidates
-// the LookupOrSelect memo, since the new record may now be a nearer match.
+// Add records the tile observed for kernel k on device g and bumps the
+// generation, since the new record may now be a nearer match.
 func (db *DB) Add(k kernels.Kernel, g gpu.Spec, t Tile) {
 	db.mu.Lock()
 	db.records = append(db.records, Record{
@@ -83,15 +104,35 @@ func (db *DB) Add(k kernels.Kernel, g gpu.Spec, t Tile) {
 		SMs: g.SMs, L2MB: g.L2CacheMB, PeakTF: g.PeakFLOPS, MemBWGBs: g.MemoryBWGBs,
 		Tile: append([]int(nil), t.Dims...),
 	})
+	db.index(len(db.records) - 1)
 	db.mu.Unlock()
-	// Clear and bump in one critical section: a reader that observes the
-	// new generation must never pair it with a pre-Add memo entry (its memo
-	// access serializes behind this lock), and an in-flight scan that
-	// started under the old generation re-checks it before memoizing.
-	db.memoMu.Lock()
-	db.memo = nil
-	db.memoGen.Add(1)
-	db.memoMu.Unlock()
+	db.gen.Add(1)
+}
+
+// index adds records[i] to its group. The caller holds mu for writing.
+func (db *DB) index(i int) {
+	r := &db.records[i]
+	key := groupKey{cat: kernels.Categorize(r.Op), rank: len(r.Dims)}
+	grp := db.groups[key]
+	if grp == nil {
+		if db.groups == nil {
+			db.groups = make(map[groupKey]*group)
+		}
+		grp = &group{}
+		db.groups[key] = grp
+	}
+	grp.feats = appendFeatures(grp.feats, r.Dims, float64(r.SMs), r.L2MB, r.PeakTF, r.MemBWGBs)
+	grp.idx = append(grp.idx, int32(i))
+}
+
+// appendFeatures appends the log-space distance features of one record or
+// query: log1p of each output dim, then of SMs, L2, peak FLOPS and memory
+// bandwidth.
+func appendFeatures(dst []float64, dims []int, sms, l2, peak, bw float64) []float64 {
+	for _, d := range dims {
+		dst = append(dst, math.Log1p(float64(d)))
+	}
+	return append(dst, math.Log1p(sms), math.Log1p(l2), math.Log1p(peak), math.Log1p(bw))
 }
 
 // Generation reports how many times the record set has changed. Callers
@@ -100,7 +141,7 @@ func (db *DB) Add(k kernels.Kernel, g gpu.Spec, t Tile) {
 // generations to notice when a new record may have changed the nearest
 // match.
 func (db *DB) Generation() uint64 {
-	return db.memoGen.Load()
+	return db.gen.Load()
 }
 
 // Len reports the number of stored records.
@@ -112,28 +153,31 @@ func (db *DB) Len() int {
 
 // Lookup returns the tile of the nearest recorded kernel by log-space
 // distance over (output dims, GPU features), restricted to the same
-// predictor category (the paper matches on kernel name first). The boolean
-// is false when the database holds no record of that category with the
-// same output rank.
+// predictor category (the paper matches on kernel name first). The
+// distance is the sum of squared feature differences in feature order, and
+// ties go to the earliest record. The boolean is false when the database
+// holds no record of that category with the same output rank.
 func (db *DB) Lookup(k kernels.Kernel, g gpu.Spec) (Tile, bool) {
+	dims := k.OutputDims()
+	var buf [maxRank + numGPUFeatures]float64
+	q := appendFeatures(buf[:0], dims, float64(g.SMs), g.L2CacheMB, g.PeakFLOPS, g.MemoryBWGBs)
+
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	dims := k.OutputDims()
-	cat := k.Category()
+	grp := db.groups[groupKey{cat: k.Category(), rank: len(dims)}]
+	if grp == nil {
+		return Tile{}, false
+	}
+	stride := len(q)
 	best := -1
 	bestDist := math.Inf(1)
-	for i, r := range db.records {
-		if kernels.Categorize(r.Op) != cat || len(r.Dims) != len(dims) {
-			continue
-		}
+	for i := range grp.idx {
+		f := grp.feats[i*stride : (i+1)*stride]
 		d := 0.0
-		for j := range dims {
-			d += sqDiffLog(float64(dims[j]), float64(r.Dims[j]))
+		for j, qj := range q {
+			x := qj - f[j]
+			d += x * x
 		}
-		d += sqDiffLog(float64(g.SMs), float64(r.SMs))
-		d += sqDiffLog(g.L2CacheMB, r.L2MB)
-		d += sqDiffLog(g.PeakFLOPS, r.PeakTF)
-		d += sqDiffLog(g.MemoryBWGBs, r.MemBWGBs)
 		if d < bestDist {
 			bestDist, best = d, i
 		}
@@ -141,46 +185,16 @@ func (db *DB) Lookup(k kernels.Kernel, g gpu.Spec) (Tile, bool) {
 	if best < 0 {
 		return Tile{}, false
 	}
-	return Tile{Dims: append([]int(nil), db.records[best].Tile...)}, true
+	return Tile{Dims: append([]int(nil), db.records[grp.idx[best]].Tile...)}, true
 }
 
 // LookupOrSelect resolves the tile for k on g from profiled data, falling
 // back to the library heuristic when the database has no usable record.
-// Results are memoized per (kernel, GPU) and invalidated whenever Add
-// changes the record set, making repeated serving-path queries O(1).
 func (db *DB) LookupOrSelect(k kernels.Kernel, g gpu.Spec) Tile {
-	key := QueryOf(k, g)
-	gen := db.memoGen.Load()
-	db.memoMu.Lock()
-	if t, ok := db.memo[key]; ok {
-		db.memoMu.Unlock()
+	if t, ok := db.Lookup(k, g); ok {
 		return t
 	}
-	db.memoMu.Unlock()
-
-	t, ok := db.Lookup(k, g)
-	if !ok {
-		t = Select(k, g)
-	}
-
-	db.memoMu.Lock()
-	// Only memoize if no Add landed during the scan: a fresher record could
-	// have changed the nearest match, and a stale cache would pin it.
-	if db.memoGen.Load() == gen {
-		if db.memo == nil {
-			db.memo = make(map[Query]Tile)
-		} else if len(db.memo) >= memoLimit {
-			db.memo = make(map[Query]Tile)
-		}
-		db.memo[key] = t
-	}
-	db.memoMu.Unlock()
-	return t
-}
-
-func sqDiffLog(a, b float64) float64 {
-	d := math.Log1p(a) - math.Log1p(b)
-	return d * d
+	return Select(k, g)
 }
 
 // Save writes the database as JSON to path.
@@ -194,7 +208,11 @@ func (db *DB) Save(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadDB reads a database previously written by Save.
+// LoadDB reads a database previously written by Save. Every record is
+// validated before it is indexed: a record with no output dims, a dim or
+// tile entry below 1, a tile whose rank differs from its dims, or a
+// non-positive or non-finite GPU feature would otherwise yield NaN
+// distances or a tile that panics NumTiles at the first forecast.
 func LoadDB(path string) (*DB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -204,5 +222,39 @@ func LoadDB(path string) (*DB, error) {
 	if err := json.Unmarshal(data, &recs); err != nil {
 		return nil, err
 	}
-	return &DB{records: recs}, nil
+	db := &DB{records: recs}
+	for i := range recs {
+		if err := recs[i].validate(); err != nil {
+			return nil, fmt.Errorf("tile: %s: record %d: %w", path, i, err)
+		}
+		db.index(i)
+	}
+	return db, nil
+}
+
+// validate reports why r cannot be indexed, or nil.
+func (r *Record) validate() error {
+	if len(r.Dims) == 0 {
+		return errors.New("no output dims")
+	}
+	if len(r.Tile) != len(r.Dims) {
+		return fmt.Errorf("tile rank %d differs from output rank %d", len(r.Tile), len(r.Dims))
+	}
+	for j := range r.Dims {
+		if r.Dims[j] < 1 || r.Tile[j] < 1 {
+			return fmt.Errorf("dim %d: output %d, tile %d: want both >= 1", j, r.Dims[j], r.Tile[j])
+		}
+	}
+	if r.SMs < 1 {
+		return fmt.Errorf("sms %d: want >= 1", r.SMs)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"l2_mb", r.L2MB}, {"peak_tflops", r.PeakTF}, {"mem_bw_gbs", r.MemBWGBs}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s %v: want positive and finite", f.name, f.v)
+		}
+	}
+	return nil
 }

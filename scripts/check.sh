@@ -45,10 +45,15 @@ if [[ "$fast" == 1 ]]; then
   echo "==> go test ./... (fast mode, no race detector)"
   go test ./...
   # The engine registry, serving layer, cluster peer layer, load harness,
-  # and observation/retrain loop are the concurrency-critical surface:
-  # they stay race-checked even in fast mode.
+  # observation/retrain loop, predictor and tile index (written by Add
+  # while serving reads it) are the concurrency-critical surface: they
+  # stay race-checked even in fast mode. The predictor and tile packages
+  # run as a second command: their race run is CPU-bound for over a
+  # minute, and the load harness's cluster tests assert on timing.
   echo "==> go test -race ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe"
   go test -race ./internal/predict ./internal/serve ./internal/cluster ./internal/loadgen ./internal/observe
+  echo "==> go test -race ./internal/tile ./internal/core"
+  go test -race ./internal/tile ./internal/core
 else
   echo "==> go test -race ./..."
   go test -race ./...
